@@ -1,10 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench report lint layering check
+.PHONY: test claims bench report lint layering check
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The paper's headline claims behind EXPERIMENTS.md: the shape assertions
+# under benchmarks/ (about 100 s). Kept out of the Tier-1 `test` target.
+claims:
+	$(PYTHON) -m pytest -q benchmarks
 
 # Import-layering rules of the control-plane architecture
 # (docs/architecture.md): hw !-> core/control, control !-> experiments/fleet,

@@ -10,7 +10,14 @@ implementation. This script produces the reference artifacts the
 * ``fig13_small.json`` — a reduced Fig 13 matrix (one ML workload, two CPU
   mixes, all four policies) at an 8 s horizon;
 * ``fleet_sim_small.json`` — the per-trial summaries of a 4-node KP fleet
-  with batch jobs, two trials.
+  with batch jobs, two trials;
+* ``fleet_divergent_small.json`` — a short KP trace replay, stepped through
+  :class:`~repro.serve.service.FleetService`, on the paths where a member's
+  fleet sampler and its Kelp governor read perf windows that differ: a
+  telemetry blackout, a fail/restart (re-phased control loop), degraded
+  sensors, actuation faults, a mid-run grow and a shrink/grow that
+  recommissions a retired member. Pins the summary plus every telemetry,
+  controller and actuation row.
 
 Run it only when an intentional behaviour change invalidates the goldens::
 
@@ -74,6 +81,65 @@ def fleet_summary(jobs: int | None = None) -> list[dict]:
     return [dict(s) for s in result.summaries]
 
 
+#: Reduced trace-replay shape for the divergent-window scenario. The 0.75 s
+#: epoch is off the 0.5 s control grid, so members restarted or added at an
+#: epoch boundary tick out of phase with the fleet sampler.
+DIVERGENT_TRACE = dict(seed=11, duration_s=30.0, rate_qps=40.0)
+DIVERGENT_EPOCH_S = 0.75
+
+
+def fleet_divergent_summary() -> dict:
+    """The divergent-window replay: summary plus telemetry/controller/
+    actuation rows."""
+    from repro.control.actuators import ActuationFaultConfig
+    from repro.control.sensors import SensorConfig
+    from repro.fleet.config import uniform_batch_jobs
+    from repro.fleet.orchestrator import fleet_config_for_trace
+    from repro.serve.service import FleetService
+    from repro.traces.generate import TraceGenConfig, generate_trace
+
+    trace = generate_trace(TraceGenConfig(**DIVERGENT_TRACE))
+    config = fleet_config_for_trace(
+        trace,
+        nodes=3,
+        policy="KP",
+        batch_jobs=uniform_batch_jobs(3),
+        sensors=SensorConfig(
+            staleness_period=1.0, noise_sigma=0.05, dropout_prob=0.1, seed=3
+        ),
+        faults=ActuationFaultConfig(
+            fail_prob=0.3, defer_prob=0.2, max_retries=1, seed=4
+        ),
+    )
+    service = FleetService(
+        config, trace=trace, collect_telemetry=True, epoch_s=DIVERGENT_EPOCH_S
+    )
+    service.start()
+    members = service.orchestrator.members
+    # epoch -> action applied at that epoch boundary (sim time epoch * 0.75).
+    actions = {
+        6: lambda: members[0].begin_blackout(service.time_s + 2.6),
+        9: lambda: members[1].fail(),
+        13: lambda: members[1].restart(),
+        15: service.grow,
+        22: service.shrink,
+        27: service.grow,
+    }
+    while not service.done:
+        service.step()
+        action = actions.get(service.epoch)
+        if action is not None:
+            action()
+    result = service.finish()
+    return {
+        "summary": result.summary(),
+        "commands": [list(c) for c in service.commands],
+        "telemetry": list(result.telemetry),
+        "controller": list(result.controller),
+        "actuation": list(result.actuation),
+    }
+
+
 def main() -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     fig13_path = os.path.join(GOLDEN_DIR, "fig13_small.json")
@@ -87,6 +153,12 @@ def main() -> int:
         json.dump(fleet_summary(), handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {fleet_path}")
+
+    divergent_path = os.path.join(GOLDEN_DIR, "fleet_divergent_small.json")
+    with open(divergent_path, "w", encoding="utf-8") as handle:
+        json.dump(fleet_divergent_summary(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {divergent_path}")
     return 0
 
 

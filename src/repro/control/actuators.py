@@ -121,6 +121,9 @@ class HostControlPlane:
         #: Writes deferred by fault injection, applied at the next tick.
         self._pending: list[tuple[str, str, str, Callable[[], None]]] = []
         self._tick_mark = 0
+        #: ``(msr.generation, count)`` of the last :meth:`set_lo_prefetchers`
+        #: whose read-back found every core already as requested.
+        self._prefetchers_verified: tuple[int, int] | None = None
 
     # ------------------------------------------------------------ tick API
     def begin_tick(self) -> None:
@@ -128,13 +131,20 @@ class HostControlPlane:
 
         Deferred writes apply *before* the new decision acts, so a delayed
         actuation can still be overridden by the tick that follows it —
-        exactly the race a slow MSR/cgroup write loses on a real host.
+        exactly the race a slow MSR/cgroup write loses on a real host. The
+        landing writes share one recompute hold, so they cost at most one
+        re-solve; a tick with nothing pending touches no machine state.
         """
         if self._pending:
             pending, self._pending = self._pending, []
-            for kind, target, value, op in pending:
-                op()
-                self._journal(kind, target, value, "applied", attempts=1)
+            machine = self._node.machine
+            machine.begin_hold()
+            try:
+                for kind, target, value, op in pending:
+                    op()
+                    self._journal(kind, target, value, "applied", attempts=1)
+            finally:
+                machine.end_hold()
         self._tick_mark = len(self.journal)
 
     @property
@@ -172,22 +182,29 @@ class HostControlPlane:
 
         Cores are enabled lowest-id first (the fixed order the runtime
         writes MSR ``0x1A4`` in); only cores whose current MSR state
-        differs are written.
+        differs are written. The per-core read-back is skipped when the
+        same ``count`` was last verified write-free and no MSR has been
+        written since (the interface's write generation is unchanged).
         """
+        msr = self._node.msr
+        verified = (msr.generation, count)
+        if verified == self._prefetchers_verified:
+            return 0
         cores = self._node.lo_subdomain_cores()
-        count = max(0, min(count, len(cores)))
+        enable = max(0, min(count, len(cores)))
         writes = 0
-        states = self._node.msr.prefetcher_states(cores)
+        states = msr.prefetcher_states(cores)
         for index, core in enumerate(cores):
-            enabled = index < count
+            enabled = index < enable
             if states[index] == enabled:
                 continue
             writes += self._write(
                 "msr",
                 f"core{core}",
                 "on" if enabled else "off",
-                partial(self._node.msr.set_prefetchers, core, enabled),
+                partial(msr.set_prefetchers, core, enabled),
             )
+        self._prefetchers_verified = verified if writes == 0 else None
         return writes
 
     # ----------------------------------------------------------- resctrl

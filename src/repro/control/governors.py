@@ -110,7 +110,15 @@ class KelpGovernor:
         self.manage_lo_cores = manage_lo_cores
         self.manage_backfill = manage_backfill
         self.manage_prefetchers = manage_prefetchers
-        lo_cores = len(node.lo_subdomain_cores())
+        # Topology is immutable: freeze the subdomain core tuples once and
+        # build each cpuset mask once per core count.
+        self._lo_cores = node.lo_subdomain_cores()
+        self._hi_cores = node.hi_subdomain_cores()
+        self._lo_masks: dict[int, frozenset[int]] = {}
+        self._backfill_masks: dict[int, frozenset[int]] = {}
+        #: The last decision, returned again while nothing in it changes.
+        self._last: GovernorDecision | None = None
+        lo_cores = len(self._lo_cores)
         self._hi_plan = HiPriorityPlan(
             core_num=profile.max_backfill_cores,
             min_core_num=profile.min_backfill_cores,
@@ -181,37 +189,56 @@ class KelpGovernor:
                 max_core_num=new_lo.max_core_num,
             )
         self._lo_plan = new_lo
+        lo_cores = new_lo.core_num
+        lo_prefetchers = new_lo.prefetcher_num
+        backfill_cores = self._hi_plan.core_num
 
         lo_task_mask: frozenset[int] | None = None
         if self.manage_lo_cores:
-            lo_task_mask = frozenset(
-                self._node.lo_subdomain_cores()[: self._lo_plan.core_num]
-            )
-        prefetcher_count = (
-            self._lo_plan.prefetcher_num if self.manage_prefetchers else None
-        )
+            lo_task_mask = self._lo_masks.get(lo_cores)
+            if lo_task_mask is None:
+                lo_task_mask = frozenset(self._lo_cores[:lo_cores])
+                self._lo_masks[lo_cores] = lo_task_mask
+        prefetcher_count = lo_prefetchers if self.manage_prefetchers else None
         backfill_mask: frozenset[int] | None = None
         if self.manage_backfill and self._node.backfill_tasks:
-            # Backfill occupies the *highest* hi-subdomain core ids so the
-            # ML task keeps the lowest ones; a plan throttled to zero cores
-            # must yield an *empty* cpuset (parked tasks), not a lingering
-            # one-core mask stealing hi-subdomain bandwidth.
-            spare = list(self._node.hi_subdomain_cores())
-            count = self._hi_plan.core_num
-            backfill_mask = (
-                frozenset(spare[-count:]) if count > 0 else frozenset()
-            )
+            backfill_mask = self._backfill_masks.get(backfill_cores)
+            if backfill_mask is None:
+                # Backfill occupies the *highest* hi-subdomain core ids so
+                # the ML task keeps the lowest ones; a plan throttled to zero
+                # cores must yield an *empty* cpuset (parked tasks), not a
+                # lingering one-core mask stealing hi-subdomain bandwidth.
+                backfill_mask = (
+                    frozenset(self._hi_cores[-backfill_cores:])
+                    if backfill_cores > 0
+                    else frozenset()
+                )
+                self._backfill_masks[backfill_cores] = backfill_mask
 
-        return GovernorDecision(
+        last = self._last
+        if (
+            last is not None
+            and last.action_hi is action_hi
+            and last.action_lo is action_lo
+            and last.lo_cores == lo_cores
+            and last.lo_prefetchers == lo_prefetchers
+            and last.backfill_cores == backfill_cores
+            and last.lo_task_mask is lo_task_mask
+            and last.backfill_mask is backfill_mask
+            and last.prefetcher_count == prefetcher_count
+        ):
+            return last
+        self._last = GovernorDecision(
             action_hi=action_hi,
             action_lo=action_lo,
-            lo_cores=self._lo_plan.core_num,
-            lo_prefetchers=self._lo_plan.prefetcher_num,
-            backfill_cores=self._hi_plan.core_num,
+            lo_cores=lo_cores,
+            lo_prefetchers=lo_prefetchers,
+            backfill_cores=backfill_cores,
             lo_task_mask=lo_task_mask,
             backfill_mask=backfill_mask,
             prefetcher_count=prefetcher_count,
         )
+        return self._last
 
 
 class CoreThrottleGovernor:

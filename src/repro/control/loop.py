@@ -67,12 +67,9 @@ class ControlLoop:
         node = self.node
         plane = self.plane
         machine = node.machine
-        machine.begin_hold()
-        try:
-            plane.begin_tick()
-        finally:
-            machine.end_hold()
-        if node.sim.now < self._hold_until and self._held_sample is not None:
+        plane.begin_tick()
+        now = machine.sim.now
+        if now < self._hold_until and self._held_sample is not None:
             m = self._held_sample
         else:
             m = self.sensors.sample()
@@ -100,11 +97,12 @@ class ControlLoop:
                 plane.set_mb_percent(clos, percent)
         finally:
             machine.end_hold()
-        if plane.writes_this_tick == 0:
+        writes = plane.writes_this_tick
+        if writes == 0:
             self.noop_ticks += 1
 
         record = ControlTickRecord(
-            time=node.sim.now,
+            time=now,
             lo_cores=decision.lo_cores,
             lo_prefetchers=decision.lo_prefetchers,
             backfill_cores=(
@@ -114,7 +112,7 @@ class ControlLoop:
             action_lo=decision.action_lo,
             measurements=m,
             extra=decision.extra,
-            writes=plane.writes_this_tick,
+            writes=writes,
         )
         self.history.append(record)
         return record

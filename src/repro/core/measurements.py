@@ -31,13 +31,7 @@ class KelpMeasurements:
 
 def measure_node(node: Node, reader: str = "kelp") -> KelpMeasurements:
     """Sample all four measurements since this reader's previous call."""
-    socket_bw, socket_latency, saturation, hipri_bw, elapsed = (
-        node.perf.read_kelp(reader, node.accel_socket, node.hi_subdomain)
-    )
+    # read_kelp returns the fields in KelpMeasurements' declaration order.
     return KelpMeasurements(
-        socket_bw=socket_bw,
-        socket_latency=socket_latency,
-        saturation=saturation,
-        hipri_bw=hipri_bw,
-        elapsed=elapsed,
+        *node.perf.read_kelp(reader, node.accel_socket, node.hi_subdomain)
     )

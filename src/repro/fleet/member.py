@@ -366,7 +366,8 @@ class FleetMember:
         which is the only fleet-visible trace of the failure (the
         telemetry-silence detector keys on exactly this).
         """
-        if not self.alive or self.sim.now < self.blackout_until:
+        now = self.sim.now
+        if not self.alive or now < self.blackout_until:
             if self.last_signals is None:  # pragma: no cover - defensive
                 self.last_signals = self._offline_signals()
                 self._notify("signals")
@@ -381,15 +382,16 @@ class FleetMember:
             or profile.socket_latency.above(latency)
             or profile.socket_bw.above(socket_bw)
         )
+        server = self.server
         signals = NodeSignals(
             node_index=self.index,
-            time=self.sim.now,
+            time=now,
             socket_bw_gbps=socket_bw,
             latency_factor=latency,
             saturation=saturation,
             hipri_bw_gbps=hipri_bw,
-            inflight=self.server.inflight,
-            queued=self.server.queued,
+            inflight=server.inflight,
+            queued=server.queued,
             batch_jobs=len(self._jobs),
             saturated=socket_bw >= SATURATED_BW_FRACTION * self._peak_bw,
             hot=hot,

@@ -30,6 +30,10 @@ class MsrInterface:
         # The spec is frozen, so the core-range bound never changes; caching
         # it keeps per-tick MSR read-backs off the sum-over-sockets path.
         self._total_cores = machine.spec.total_cores
+        #: Bumped by every register write (``wrmsr``, ``set_prefetchers``,
+        #: ``enable_all``): a reader that saw generation ``g`` knows the
+        #: registers are unchanged while it still reads ``g``.
+        self.generation = 0
 
     def rdmsr(self, core: int, address: int) -> int:
         """Read an MSR; only ``0x1A4`` is modeled."""
@@ -42,6 +46,7 @@ class MsrInterface:
         if not 0 <= value <= 0b1111:
             raise HostInterfaceError(f"value {value:#x} out of range for 0x1A4")
         self._raw[core] = value
+        self.generation += 1
         enabled = value == PREFETCH_ENABLE_ALL
         if self._machine.prefetchers.is_enabled(core) != enabled:
             self._machine.prefetchers.set_enabled(core, enabled)
@@ -77,6 +82,7 @@ class MsrInterface:
     def enable_all(self) -> None:
         """Restore prefetching on every core (teardown between experiments)."""
         self._raw.clear()
+        self.generation += 1
         self._machine.prefetchers.enable_all()
         self._machine.notify_change()
 

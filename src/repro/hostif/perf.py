@@ -12,6 +12,15 @@ Kelp makes four measurements every control interval (Section IV-D):
 Counters are windowed: each named reader keeps its own last-read snapshot, so
 multiple consumers (the policy loop, experiment recorders) can sample at
 different frequencies without disturbing one another.
+
+Readers that sample at the same simulated instant share the work: the
+integrals cannot move while the clock stands still, so every reader that
+marks that instant holds the *same* snapshot copy, and a :meth:`read_kelp`
+whose window (previous mark, now) matches the last one computed returns that
+result instead of recomputing it. A node's governor and its fleet sampler
+tick together, so on an aligned tick the second read is a lookup; readers
+whose windows really differ (a held or re-phased loop, a member rejoining a
+fleet) miss and compute as usual.
 """
 
 from __future__ import annotations
@@ -46,6 +55,17 @@ class PerfCounters:
     def __init__(self, machine: Machine) -> None:
         self._machine = machine
         self._marks: dict[str, TelemetrySnapshot] = {}
+        #: The last snapshot copy taken and the instant it was taken at;
+        #: every reader marking that same instant shares it.
+        #: (Simulated time is never negative, so nothing matches at first.)
+        self._mark: TelemetrySnapshot | None = None
+        self._mark_time = -1.0
+        #: The last computed :meth:`read_kelp` as ``(previous mark, key,
+        #: result)``, the key being ``(now, socket, hi_subdomain, number of
+        #: integrated controllers)``. The count guards against a solve at
+        #: the same instant adding a zero-valued controller, which would
+        #: change the read's defaults.
+        self._last_kelp: tuple | None = None
         # Topology is immutable; freeze the per-socket subdomain tuples once
         # instead of re-deriving them on every windowed read.
         topo = machine.topology
@@ -65,7 +85,7 @@ class PerfCounters:
         if previous is None:
             previous = TelemetrySnapshot()
         window = telemetry.window_since(previous, now)
-        self._marks[reader] = telemetry.copy_snapshot()
+        self._marks[reader] = self._mark_at(now)
 
         socket_bw: dict[int, float] = {}
         socket_lat: dict[int, float] = {}
@@ -101,12 +121,42 @@ class PerfCounters:
         a full snapshot, so mixing :meth:`read` and :meth:`read_kelp` on one
         reader name stays windowed correctly.
         """
-        telemetry = self._machine.telemetry
-        now = self._machine.sim.now
-        telemetry.advance(now)
-        current = telemetry.snapshot
+        machine = self._machine
+        now = machine.sim.now
         previous = self._marks.get(reader)
-        self._marks[reader] = telemetry.copy_snapshot()
+        self._marks[reader] = self._mark_at(now)
+        current = machine.telemetry.snapshot
+        key = (now, socket, hi_subdomain, len(current.mc_bytes))
+        last = self._last_kelp
+        if last is not None and last[0] is previous and last[1] == key:
+            return last[2]
+        value = self._compute_kelp(current, previous, socket, hi_subdomain)
+        self._last_kelp = (previous, key, value)
+        return value
+
+    def _mark_at(self, now: float) -> TelemetrySnapshot:
+        """A snapshot copy of the integrals advanced to ``now``.
+
+        A copy taken earlier at the same instant is reused (the integrals
+        are already advanced to it). A solve at that instant can only add
+        zero-valued controller keys, and a missing key reads as 0.0
+        wherever a mark serves as the previous snapshot.
+        """
+        if self._mark_time != now:
+            telemetry = self._machine.telemetry
+            telemetry.advance(now)
+            self._mark = telemetry.copy_snapshot()
+            self._mark_time = now
+        return self._mark
+
+    def _compute_kelp(
+        self,
+        current: TelemetrySnapshot,
+        previous: TelemetrySnapshot | None,
+        socket: int,
+        hi_subdomain: int,
+    ) -> tuple[float, float, float, float, float]:
+        """The :meth:`read_kelp` scalars over ``previous`` → ``current``."""
         subdomains = self._socket_subdomains[socket][1]
         if previous is None:
             prev_time = 0.0

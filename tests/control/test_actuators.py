@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig, HostControlPlane
 from repro.errors import ConfigurationError
+from repro.hostif.msr import MSR_MISC_FEATURE_CONTROL, PREFETCH_DISABLE_ALL
 from repro.hw.placement import Placement
+from repro.hw.spec import tpu_host_spec
+from repro.node import Node
+from repro.sim import Simulator
 from repro.workloads.cpu.base import BatchTask
 from repro.workloads.cpu.stream import stream_profile
 
@@ -205,3 +208,87 @@ class TestFaultInjection:
         first, second = statuses(), statuses()
         assert first == second
         assert "failed" in first  # the fault rate actually bites
+
+
+def _drive_prefetchers(
+    script, faults: ActuationFaultConfig | None, clear_cache: bool
+) -> tuple[list[dict], list[bool], int]:
+    """Run a tick script through one fresh node's plane.
+
+    Returns the journal rows, the final low-core MSR states and how many
+    per-core read-backs the plane made. ``clear_cache`` drops the plane's
+    verified-prefetcher memo before every call: the reference behaviour.
+    """
+    node = Node.create(tpu_host_spec(), Simulator())
+    plane = HostControlPlane(node, faults)
+    msr = node.msr
+    cores = node.lo_subdomain_cores()
+    read_backs = 0
+    states = msr.prefetcher_states
+
+    def counted_states(run):
+        nonlocal read_backs
+        read_backs += 1
+        return states(run)
+
+    msr.prefetcher_states = counted_states
+    for op, arg in script:
+        if op == "tick":
+            plane.begin_tick()
+            if clear_cache:
+                plane._prefetchers_verified = None
+            plane.set_lo_prefetchers(arg)
+        elif op == "enable_all":
+            msr.enable_all()
+        elif op == "wrmsr":
+            msr.wrmsr(cores[arg], MSR_MISC_FEATURE_CONTROL, PREFETCH_DISABLE_ALL)
+        elif op == "set_prefetchers":
+            msr.set_prefetchers(cores[arg], True)
+        node.sim.run_until(node.sim.now + 0.5)
+    rows = [record.as_dict() for record in plane.journal]
+    return rows, states(cores), read_backs
+
+
+class TestPrefetcherReadBackDedup:
+    """A repeated prefetcher count skips the per-core MSR read-back only
+    while no MSR was written since the last write-free verification."""
+
+    def test_out_of_band_msr_writes_force_read_back(self) -> None:
+        script = [
+            ("tick", 2), ("tick", 2), ("tick", 2),
+            ("enable_all", None), ("tick", 2), ("tick", 2),
+            ("wrmsr", 0), ("tick", 2),
+            ("set_prefetchers", 3), ("tick", 2), ("tick", 2), ("tick", 2),
+        ]
+        cached, cached_states, cached_reads = _drive_prefetchers(
+            script, None, clear_cache=False
+        )
+        reference, reference_states, reference_reads = _drive_prefetchers(
+            script, None, clear_cache=True
+        )
+        assert cached == reference
+        assert cached_states == reference_states
+        ticks = sum(1 for op, _ in script if op == "tick")
+        assert reference_reads == ticks
+        # Only the third and last ticks follow a write-free tick with no
+        # MSR write in between; every out-of-band write forced a read-back.
+        assert cached_reads == ticks - 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deferred_and_failed_writes_force_read_back(self, seed: int) -> None:
+        faults = ActuationFaultConfig(
+            fail_prob=0.35, defer_prob=0.35, max_retries=0, seed=seed
+        )
+        counts = [2, 2, 2, 5, 5, 5, 1, 1, 1, 1, 4, 4, 4, 0, 0, 0, 3, 3, 3, 3]
+        script = [("tick", count) for count in counts]
+        cached, cached_states, cached_reads = _drive_prefetchers(
+            script, faults, clear_cache=False
+        )
+        reference, reference_states, _ = _drive_prefetchers(
+            script, faults, clear_cache=True
+        )
+        assert cached == reference
+        assert cached_states == reference_states
+        assert cached_reads < len(script)
+        statuses = {row["status"] for row in cached}
+        assert {"deferred", "failed"} <= statuses

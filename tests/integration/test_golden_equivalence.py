@@ -82,3 +82,31 @@ class TestFleetSimEquivalence:
             )
         finally:
             parallel_mod.shutdown_pool()
+
+
+class TestDivergentWindowEquivalence:
+    """The replay whose fleet sampler and governor read differing perf
+    windows (blackout, fail/restart, degraded sensors, actuation faults,
+    mid-run grow, shrink/grow recommission) stays bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def live(self, capture):
+        return _roundtrip(capture.fleet_divergent_summary())
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return _golden("fleet_divergent_small.json")
+
+    @pytest.mark.parametrize(
+        "section", ["summary", "commands", "telemetry", "controller", "actuation"]
+    )
+    def test_section_matches_golden(self, live, golden, section) -> None:
+        assert live[section] == golden[section]
+
+    def test_scenario_exercises_the_divergent_paths(self, golden) -> None:
+        statuses = {row["status"] for row in golden["actuation"]}
+        assert {"deferred", "failed"} <= statuses
+        assert [cmd for _, cmd in golden["commands"]] == [
+            "grow:3", "shrink:3", "grow:3"
+        ]
+        assert golden["summary"]["requests_dropped"] > 0
