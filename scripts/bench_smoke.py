@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import sys
@@ -218,7 +219,10 @@ def _timed_fleet_replay(node_counts=FLEET_REPLAY_NODES) -> dict:
     walls are directly comparable across fleet sizes: the arrival stream
     is constant and only the per-tick fleet work grows. Telemetry
     collection is off — the probe times the replay hot path, not the
-    row-freezing of millions of telemetry samples.
+    row-freezing of millions of telemetry samples. Each point reports the
+    control ticks elided as quiescent and the wall per node-tick (nodes
+    times the ticks scheduled per node); ``wall_ratio`` is the largest
+    fleet's wall over the smallest's (the flat-per-node target is 1.5).
     """
     from dataclasses import replace
 
@@ -248,11 +252,15 @@ def _timed_fleet_replay(node_counts=FLEET_REPLAY_NODES) -> dict:
         with maybe_profiled(f"fleet-replay-{nodes}n"):
             run = orchestrator.run()
         wall = time.perf_counter() - started
+        node_ticks = nodes * math.floor(config.duration / config.interval)
         sweep.append(
             {
                 "nodes": nodes,
                 "routing": config.routing,
                 "wall_s": round(wall, 3),
+                "node_ticks": node_ticks,
+                "elided_ticks": run.elided_ticks,
+                "us_per_node_tick": round(wall / node_ticks * 1e6, 3),
                 "phases": {
                     "replay_s": round(
                         orchestrator.phase_walls.get("replay_s", 0.0), 3
@@ -274,6 +282,9 @@ def _timed_fleet_replay(node_counts=FLEET_REPLAY_NODES) -> dict:
         "trace_duration_s": DAY_S,
         "generate_wall_s": round(generate_wall, 3),
         "sweep": sweep,
+        "wall_ratio": round(
+            sweep[-1]["wall_s"] / max(sweep[0]["wall_s"], 1e-9), 3
+        ),
     }
 
 
@@ -589,13 +600,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{trace['phases']['accounting_s']}s)"
         )
     if fleet_replay:
-        for point in fleet_replay["sweep"]:
+        sweep = fleet_replay["sweep"]
+        for point in sweep:
             print(
                 f"fleet-replay: {point['nodes']:>3} nodes "
-                f"{point['wall_s']}s ({point['events_per_s']} events/s; "
+                f"{point['wall_s']}s ({point['us_per_node_tick']} us/node-tick, "
+                f"{point['elided_ticks']}/{point['node_ticks']} ticks elided; "
                 f"replay {point['phases']['replay_s']}s, accounting "
                 f"{point['phases']['accounting_s']}s)"
             )
+        print(
+            f"fleet-replay: {sweep[-1]['nodes']}-node / {sweep[0]['nodes']}-node "
+            f"wall ratio {fleet_replay['wall_ratio']} (target <= 1.5)"
+        )
     print(
         f"incidents: {incidents['wall_s']}s for 3 runs, "
         f"{incidents['detected']}/{incidents['incidents']} detected, "

@@ -124,6 +124,9 @@ class HostControlPlane:
         #: ``(msr.generation, count)`` of the last :meth:`set_lo_prefetchers`
         #: whose read-back found every core already as requested.
         self._prefetchers_verified: tuple[int, int] | None = None
+        #: Called before any write lands (``None``: nobody listening). A
+        #: control loop that stopped ticking sets it to catch up first.
+        self.before_write: Callable[[], None] | None = None
 
     # ------------------------------------------------------------ tick API
     def begin_tick(self) -> None:
@@ -151,6 +154,11 @@ class HostControlPlane:
     def writes_this_tick(self) -> int:
         """Journal entries since the last :meth:`begin_tick`."""
         return len(self.journal) - self._tick_mark
+
+    @property
+    def writes_pending(self) -> bool:
+        """Whether deferred writes wait to land at the next tick."""
+        return bool(self._pending)
 
     # ------------------------------------------------------------- cpusets
     def set_task_cpus(
@@ -263,6 +271,8 @@ class HostControlPlane:
         Returns the number of journal entries added (always 1: applied,
         deferred or failed).
         """
+        if self.before_write is not None:
+            self.before_write()
         if faultable and self.fault_windows and self._in_fault_window():
             # Stuck actuator: deterministic failure, no RNG draw — the
             # stochastic stream advances exactly as it would without the

@@ -240,6 +240,26 @@ class KelpGovernor:
         )
         return self._last
 
+    def settled(
+        self, m: KelpMeasurements, band: tuple[float, float, float, float]
+    ) -> bool:
+        """Whether every watermark comparison :meth:`decide` makes keeps
+        its outcome for any sample within ``band`` of ``m`` (per field:
+        socket bandwidth, latency, saturation, hi-subdomain bandwidth).
+
+        After a tick that returned the previous decision unchanged, the
+        plans are a fixed point of the same actions, so a settled governor
+        returns that same decision for every such sample.
+        """
+        profile = self.profile
+        bw_band, latency_band, saturation_band, hipri_band = band
+        return (
+            profile.hipri_bw.decided(m.hipri_bw, hipri_band)
+            and profile.socket_latency.decided(m.socket_latency, latency_band)
+            and profile.socket_bw.decided(m.socket_bw, bw_band)
+            and profile.saturation.decided(m.saturation, saturation_band)
+        )
+
 
 class CoreThrottleGovernor:
     """CT: reactive one-core-at-a-time throttling of the low tasks.

@@ -62,6 +62,17 @@ class PerfectSensors:
         """One fresh windowed perf read."""
         return measure_node(self._node, reader=self._reader)
 
+    def replay(
+        self, instants: list[float]
+    ) -> list[tuple[float, float, float, float, float]]:
+        """The reads :meth:`sample` would have made at past ``instants``,
+        as ``(socket_bw, latency, saturation, hipri_bw, elapsed)`` tuples
+        (:meth:`~repro.hostif.perf.PerfCounters.replay_kelp`)."""
+        node = self._node
+        return node.perf.replay_kelp(
+            self._reader, node.accel_socket, node.hi_subdomain, instants
+        )
+
 
 class _SimClock:
     """Picklable ``now`` callable bound to a node's simulator clock."""

@@ -67,6 +67,8 @@ class KelpRuntime:
 
     @profile.setter
     def profile(self, value: QosProfile) -> None:
+        # A loop whose scheduler stopped ticking it catches up first.
+        self.loop.touch()
         self._governor.profile = value
 
     @property

@@ -33,6 +33,11 @@ class Watermark:
         """The ``Lo*`` predicate: measurement is under the low watermark."""
         return value < self.lo
 
+    def decided(self, value: float, band: float) -> bool:
+        """Whether :meth:`above` and :meth:`below` give the same answers
+        for every measurement within ``band`` of ``value``."""
+        return abs(value - self.hi) > band and abs(value - self.lo) > band
+
 
 @dataclass(frozen=True)
 class QosProfile:

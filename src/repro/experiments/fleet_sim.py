@@ -190,10 +190,16 @@ def _observe(result: FleetSimResult, observer: "RunObserver | None") -> None:
         fleet_routing=result.routing,
         fleet_ml=result.ml,
         fleet_trials=result.trials,
+        fleet_elided_ticks=sum(r.elided_ticks for r in result.results),
     )
     for trial, summary in enumerate(result.summaries):
         observer.note_seed(f"fleet.trial{trial}.seed", int(summary["seed"]))
-        observer.record("fleet_run", trial=trial, **summary)
+        observer.record(
+            "fleet_run",
+            trial=trial,
+            elided_ticks=result.results[trial].elided_ticks,
+            **summary,
+        )
     for row in result.tenant_rows:
         observer.record(
             "fleet_tenant",

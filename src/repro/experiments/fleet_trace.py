@@ -211,13 +211,19 @@ def _observe(
         trace_families=[f.name for f in trace.families],
         trace_meta=dict(trace.meta),
         trace_window_s=result.window_s,
+        fleet_elided_ticks=sum(r.elided_ticks for r in result.results),
     )
     for trial, summary in enumerate(result.summaries):
         observer.note_seed(f"fleet.trial{trial}.seed", int(summary["seed"]))
         row = {k: v for k, v in summary.items() if k not in (
             "windows", "window_fleet",
         )}
-        observer.record("fleet_run", trial=trial, **row)
+        observer.record(
+            "fleet_run",
+            trial=trial,
+            elided_ticks=result.results[trial].elided_ticks,
+            **row,
+        )
     for row in result.tenant_rows:
         observer.record(
             "fleet_tenant",

@@ -21,12 +21,19 @@ result instead of recomputing it. A node's governor and its fleet sampler
 tick together, so on an aligned tick the second read is a lookup; readers
 whose windows really differ (a held or re-phased loop, a member rejoining a
 fleet) miss and compute as usual.
+
+A control loop whose node is quiescent may stop ticking and replay the
+skipped reads later, in order (:meth:`replay_kelp`); :meth:`kelp_band`
+bounds how far such later reads can drift from the last one through float
+rounding alone.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
 from repro.hw.machine import Machine
 from repro.hw.telemetry import TelemetrySnapshot
 
@@ -134,6 +141,38 @@ class PerfCounters:
         self._last_kelp = (previous, key, value)
         return value
 
+    def replay_kelp(
+        self, reader: str, socket: int, hi_subdomain: int, instants: list[float]
+    ) -> list[tuple[float, float, float, float, float]]:
+        """:meth:`read_kelp` at each of ``instants`` in turn, after the fact.
+
+        For a reader that skipped reads at past instants the integrals have
+        not been advanced beyond (ascending, none after the clock): the
+        integrals advance through every instant exactly as those reads
+        would have advanced them, and each result is the one that read
+        would have returned.
+        """
+        telemetry = self._machine.telemetry
+        if instants[0] < telemetry.snapshot.time:
+            raise SimulationError(
+                f"cannot replay a read at {instants[0]}: the integrals are "
+                f"already advanced to {telemetry.snapshot.time}"
+            )
+        current = telemetry.snapshot
+        previous = self._marks.get(reader)
+        values: list[tuple[float, float, float, float, float]] = []
+        for now in instants:
+            mark = self._mark_at(now)
+            value = self._compute_kelp(current, previous, socket, hi_subdomain)
+            values.append(value)
+            last = previous
+            previous = mark
+        self._marks[reader] = previous
+        self._last_kelp = (
+            last, (now, socket, hi_subdomain, len(current.mc_bytes)), value
+        )
+        return values
+
     def _mark_at(self, now: float) -> TelemetrySnapshot:
         """A snapshot copy of the integrals advanced to ``now``.
 
@@ -206,6 +245,51 @@ class PerfCounters:
         )
         return socket_bw, socket_latency, saturation, hipri_bw, elapsed
 
+    def kelp_band(
+        self,
+        socket: int,
+        hi_subdomain: int,
+        reading: tuple[float, float, float, float],
+        until: float,
+        window: float,
+    ) -> tuple[float, float, float, float]:
+        """Rounding bounds on later :meth:`read_kelp` results.
+
+        ``reading`` holds the first four :meth:`read_kelp` fields of a read
+        whose whole window saw the solve state now in force. While that
+        state stays in force, every later read over windows about
+        ``window`` wide ending by ``until`` differs from ``reading`` by less
+        than the returned band, field by field: each windowed average is
+        ``(I_j - I_{j-1}) / e_j`` over integrals advanced in steps, and the
+        only error against the true rate ``r`` is rounding, below
+        ``2u (r + I / e)`` per controller, ``u`` the float epsilon and ``I``
+        the integral's size. The band doubles that for the two reads
+        compared, again for a window split by another reader's advance,
+        counts every controller a sum adds, and takes a further factor of
+        two as headroom.
+        """
+        snapshot = self._machine.telemetry.snapshot
+        subdomains = self._socket_subdomains[socket][1]
+        span = max(until - snapshot.time, 0.0) + window
+
+        def band(rate: float, integrals: dict, keys, count: int) -> float:
+            level = max(abs(integrals.get(m, 0.0)) for m in keys)
+            level += abs(rate) * span
+            return 16.0 * _EPSILON * count * (abs(rate) + 2.0 * level / window)
+
+        socket_bw, latency, saturation, hipri_bw = reading
+        return (
+            band(socket_bw, snapshot.mc_bytes, subdomains, len(subdomains)),
+            band(latency, snapshot.mc_latency, subdomains, 1),
+            band(saturation, snapshot.mc_saturation, subdomains, 1),
+            band(hipri_bw, snapshot.mc_bytes, (hi_subdomain,), 1),
+        )
+
+    def share_mark(self, reader: str, source: str) -> None:
+        """Give ``reader`` the mark ``source`` holds: its next window starts
+        where ``source``'s last one ended."""
+        self._marks[reader] = self._marks[source]
+
     def reset(self, reader: str = "default") -> None:
         """Forget a reader's mark; its next read starts a fresh window."""
         self._marks.pop(reader, None)
@@ -213,3 +297,5 @@ class PerfCounters:
 
 #: Shared empty previous-integral mapping for first reads (never mutated).
 _EMPTY: dict[int, float] = {}
+#: Float spacing at 1.0.
+_EPSILON = sys.float_info.epsilon

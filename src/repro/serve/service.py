@@ -39,8 +39,10 @@ if TYPE_CHECKING:
     from repro.obs.recorder import RunObserver
     from repro.traces.schema import Trace
 
-#: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v1"
+#: Checkpoint container format tag; bump on any incompatible change. v2:
+#: the pickled graph gained the per-node read and decision caches and the
+#: elided-tick state, so a v1 payload cannot resume under this code.
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v2"
 
 
 class FleetService:
@@ -356,8 +358,13 @@ def _read_checkpoint(path: str) -> dict:
         raise ConfigurationError(
             f"{path}: not a {CHECKPOINT_FORMAT} checkpoint ({exc})"
         ) from exc
-    if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(blob, dict):
         raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    found = blob.get("format")
+    if found != CHECKPOINT_FORMAT:
+        raise ConfigurationError(
+            f"{path}: not a {CHECKPOINT_FORMAT} checkpoint (format {found!r})"
+        )
     return blob
 
 

@@ -138,6 +138,12 @@ class TestWiring:
         assert {"fleet_run", "fleet_tenant", "fleet_telemetry"} <= kinds
         runs = [r for r in observer.records if r["kind"] == "fleet_run"]
         assert [r["trial"] for r in runs] == [0, 1]
+        # Elided control ticks are observability only: in the run record
+        # and the manifest, never in the (golden-pinned) summary.
+        assert all(r["elided_ticks"] >= 0 for r in runs)
+        assert observer._run_config["fleet_elided_ticks"] == sum(
+            r["elided_ticks"] for r in runs
+        )
         paths = observer.finalize(command="test")
         assert (tmp_path / "m.jsonl").exists()
         assert paths

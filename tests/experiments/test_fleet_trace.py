@@ -128,5 +128,9 @@ class TestWiring:
         assert config["trace_requests"] > 0
         assert config["trace_tenants"] == ["search", "ads", "assist"]
         assert config["trace_window_s"] > 0
+        runs = [r for r in observer.records if r["kind"] == "fleet_run"]
+        assert config["fleet_elided_ticks"] == sum(
+            r["elided_ticks"] for r in runs
+        )
         paths = observer.finalize(command="test")
         assert paths

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.hostif.perf import PerfCounters
 from repro.hw.placement import Placement
 from repro.hw.spec import tpu_host_spec
@@ -204,3 +205,51 @@ class TestSharedReads:
         node.perf.read_kelp("kelp", *args)
         node.perf.reset("fleet")
         assert node.perf.read_kelp("fleet", *args)[4] == pytest.approx(1.5)
+
+
+class TestReplayedReads:
+    """``replay_kelp`` after the fact equals ``read_kelp`` at each instant
+    on the clock, bit for bit, and leaves the same integrals and marks."""
+
+    @staticmethod
+    def _node() -> Node:
+        node = Node.create(tpu_host_spec(), Simulator())
+        start_stream(node)  # one constant solve state, no events
+        return node
+
+    @given(
+        st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8),
+        st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reads_on_the_clock(self, gaps, offset) -> None:
+        live, late = self._node(), self._node()
+        args = (live.accel_socket, live.hi_subdomain)
+        instants = []
+        for node in (live, late):
+            node.sim.run_until(offset)
+            node.perf.read_kelp("kelp", *args)
+        for gap in gaps:
+            instants.append((instants[-1] if instants else offset) + gap)
+        want = []
+        for instant in instants:
+            live.sim.run_until(instant)
+            want.append(live.perf.read_kelp("kelp", *args))
+        late.sim.run_until(instants[-1])
+        got = late.perf.replay_kelp("kelp", *args, instants)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert late.machine.telemetry.snapshot == live.machine.telemetry.snapshot
+        # The next read on the clock sees the same window in both.
+        for node in (live, late):
+            node.sim.run_until(instants[-1] + 1.0)
+        assert _bits(late.perf.read_kelp("kelp", *args)) == _bits(
+            live.perf.read_kelp("kelp", *args)
+        )
+
+    def test_refuses_instants_the_integrals_passed(self, node: Node) -> None:
+        start_stream(node)
+        args = (node.accel_socket, node.hi_subdomain)
+        node.sim.run_until(2.0)
+        node.perf.read_kelp("fleet", *args)
+        with pytest.raises(SimulationError, match="already advanced"):
+            node.perf.replay_kelp("kelp", *args, [1.0, 2.0])

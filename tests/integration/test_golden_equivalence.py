@@ -110,3 +110,48 @@ class TestDivergentWindowEquivalence:
             "grow:3", "shrink:3", "grow:3"
         ]
         assert golden["summary"]["requests_dropped"] > 0
+
+
+class TestIdleSparseEquivalence:
+    """A sparse replay over mostly idle nodes, whose control ticks are
+    elided while quiescent and replayed on wake, stays bit-identical to the
+    run that ticked every node every interval (captured before elision)."""
+
+    @pytest.fixture(scope="class")
+    def live(self, capture):
+        return _roundtrip(capture.fleet_idle_sparse_summary())
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return _golden("fleet_idle_sparse_small.json")
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "summary",
+            "commands",
+            "node_stats",
+            "telemetry",
+            "controller",
+            "actuation",
+            "lean",
+        ],
+    )
+    def test_section_matches_golden(self, live, golden, section) -> None:
+        assert live[section] == golden[section]
+
+    def test_scenario_exercises_elision(self, capture, golden) -> None:
+        for collect in (True, False):
+            assert capture.idle_sparse_run(collect_telemetry=collect)[
+                "elided_ticks"
+            ] > 200
+        assert golden["lean"]["controller_equal"]
+        assert [cmd for _, cmd in golden["commands"]] == [
+            "shrink:3", "grow:3", "grow:4"
+        ]
+        summary = golden["summary"]
+        assert summary["batch_placements"] >= 2
+        assert summary["requests_dropped"] == 1
+        # Arrivals that land exactly on a control-tick instant.
+        ticks = {row["time"] for row in golden["controller"]}
+        assert len(ticks & set(capture.IDLE_SPARSE_ARRIVALS)) >= 3

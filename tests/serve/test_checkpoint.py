@@ -182,3 +182,85 @@ class TestValidation:
         corrupt.write_bytes(b"this is not a pickle")
         with pytest.raises(ConfigurationError, match="not a"):
             FleetService.restore(str(corrupt))
+
+
+class TestFormatVersion:
+    def test_rejects_a_v1_checkpoint_naming_the_format(self, tmp_path) -> None:
+        """A checkpoint from before the v2 graph must be refused cleanly,
+        not fail with an AttributeError on its first replayed tick."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": "repro-serve-checkpoint/v1",
+                    "epoch": 3,
+                    "time_s": 3.0,
+                    "sequence_base": 0,
+                    "trace_digest": None,
+                    "payload": b"",
+                }
+            )
+        )
+        for read in (FleetService.restore, checkpoint_meta):
+            with pytest.raises(ConfigurationError) as info:
+                read(str(path))
+            message = str(info.value)
+            assert "repro-serve-checkpoint/v1" in message
+            assert "repro-serve-checkpoint/v2" in message
+
+
+#: A sparse trace: nodes sit idle, with their control ticks elided, for
+#: most of the run.
+_SPARSE = TraceGenConfig(seed=4, duration_s=40.0, rate_qps=0.5)
+
+
+class TestElidedCheckpoint:
+    def test_save_while_elided_restores_in_a_fresh_process(
+        self, tmp_path
+    ) -> None:
+        trace = generate_trace(_SPARSE)
+        config = fleet_config_for_trace(trace, nodes=3, seed=2, interval=1.0)
+        path = tmp_path / "elided.ckpt"
+        out = tmp_path / "restored.json"
+        original = FleetService(config, trace=trace, epoch_s=1.5)
+        original.start()
+        while original.epoch < 12:
+            original.step()
+        members = original.orchestrator.members
+        assert any(m._elided_at is not None for m in members)
+        original.save(str(path))
+        while not original.done:
+            original.step()
+        baseline = _outcome(original)
+        assert "elided_ticks=0)" not in baseline[0]  # some ticks were elided
+
+        code = f"""
+import json
+from repro.serve import FleetService
+from repro.traces import TraceGenConfig, generate_trace
+
+trace = generate_trace(TraceGenConfig(
+    seed={_SPARSE.seed}, duration_s={_SPARSE.duration_s},
+    rate_qps={_SPARSE.rate_qps},
+))
+service = FleetService.restore({str(path)!r}, trace=trace)
+while not service.done:
+    service.step()
+result = service.finish()
+payload = {{
+    "result": repr(result),
+    "snapshots": [s.as_dict() for s in service.snapshots],
+    "commands": [list(row) for row in service.commands],
+}}
+with open({str(out)!r}, "w") as handle:
+    json.dump(payload, handle)
+"""
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        payload = json.loads(out.read_text())
+        assert payload["result"] == baseline[0]
+        assert tuple(payload["snapshots"]) == baseline[1]
+        assert [tuple(row) for row in payload["commands"]] == list(baseline[2])
