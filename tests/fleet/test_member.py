@@ -26,6 +26,7 @@ def _member(sim, factory, on_complete=None, **kwargs) -> FleetMember:
         interval=0.5,
         warmup=0.0,
         seed=123,
+        horizon=kwargs.pop("horizon", 10.0),
         on_complete=on_complete,
         **kwargs,
     )
