@@ -186,12 +186,7 @@ def _timed_trace(requests_target: int) -> dict:
         "replay_wall_s": round(replay_wall, 3),
         "phases": {
             "generate_s": round(generate_wall, 3),
-            "replay_s": round(
-                orchestrator.phase_walls.get("replay_s", 0.0), 3
-            ),
-            "accounting_s": round(
-                orchestrator.phase_walls.get("accounting_s", 0.0), 3
-            ),
+            **_phases(orchestrator),
         },
         "events_dispatched": run.events_dispatched,
         "events_per_s": round(
@@ -199,6 +194,14 @@ def _timed_trace(requests_target: int) -> dict:
         ),
         "serving_yield": round(run.serving_yield, 6),
         "efficiency": round(run.efficiency, 6),
+    }
+
+
+def _phases(orchestrator) -> dict:
+    """The orchestrator's phase walls of one run, in run order."""
+    return {
+        phase: round(orchestrator.phase_walls.get(phase, 0.0), 3)
+        for phase in ("setup_s", "replay_s", "catch_up_s", "accounting_s")
     }
 
 
@@ -261,14 +264,7 @@ def _timed_fleet_replay(node_counts=FLEET_REPLAY_NODES) -> dict:
                 "node_ticks": node_ticks,
                 "elided_ticks": run.elided_ticks,
                 "us_per_node_tick": round(wall / node_ticks * 1e6, 3),
-                "phases": {
-                    "replay_s": round(
-                        orchestrator.phase_walls.get("replay_s", 0.0), 3
-                    ),
-                    "accounting_s": round(
-                        orchestrator.phase_walls.get("accounting_s", 0.0), 3
-                    ),
-                },
+                "phases": _phases(orchestrator),
                 "events_dispatched": run.events_dispatched,
                 "events_per_s": round(
                     run.events_dispatched / max(wall, 1e-9)
@@ -606,7 +602,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"fleet-replay: {point['nodes']:>3} nodes "
                 f"{point['wall_s']}s ({point['us_per_node_tick']} us/node-tick, "
                 f"{point['elided_ticks']}/{point['node_ticks']} ticks elided; "
-                f"replay {point['phases']['replay_s']}s, accounting "
+                f"setup {point['phases']['setup_s']}s, replay "
+                f"{point['phases']['replay_s']}s, catch-up "
+                f"{point['phases']['catch_up_s']}s, accounting "
                 f"{point['phases']['accounting_s']}s)"
             )
         print(

@@ -209,8 +209,10 @@ class FleetOrchestrator:
         #: ``self.router`` is anything else (e.g. an incident wrapper).
         self._indexed_router: Router | None = None
         self._routing_index = None
-        #: Wall-clock phase breakdown of the last :meth:`run` (bench probes
-        #: read this; it never enters results or summaries).
+        #: Wall-clock phase breakdown: ``setup_s`` and ``replay_s`` of
+        #: :meth:`run`, ``catch_up_s`` (waking idle members) and
+        #: ``accounting_s`` of :meth:`finish`. Bench probes read this; it
+        #: never enters results or summaries.
         self.phase_walls: dict[str, float] = {}
         #: window index -> [saturated samples, total samples] from ticks.
         self._window_saturation: dict[int, list[int]] = {}
@@ -233,9 +235,11 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------ run
     def run(self) -> FleetResult:
         """Execute the configured fleet run and return its measurements."""
+        setup_start = time.perf_counter()
         self.setup()
         assert self._sim is not None
         replay_start = time.perf_counter()
+        self.phase_walls["setup_s"] = replay_start - setup_start
         self._sim.run_until(self.config.duration)
         self.phase_walls["replay_s"] = time.perf_counter() - replay_start
         return self.finish()
@@ -349,10 +353,12 @@ class FleetOrchestrator:
         queue = self._queue
         for generator in self._generators:
             generator.stop()
+        catch_up_start = time.perf_counter()
         for member in self.members:
             member.wake()
-        events = self._sim.dispatched_events
         accounting_start = time.perf_counter()
+        self.phase_walls["catch_up_s"] = accounting_start - catch_up_start
+        events = self._sim.dispatched_events
         batch_units, batch_nominal = self._batch_units(queue)
         result = self._finalize(queue, events, batch_units, batch_nominal)
         self.phase_walls["accounting_s"] = (

@@ -33,6 +33,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.hw.machine import Machine
 from repro.hw.telemetry import TelemetrySnapshot
@@ -128,11 +130,15 @@ class PerfCounters:
         a full snapshot, so mixing :meth:`read` and :meth:`read_kelp` on one
         reader name stays windowed correctly.
         """
-        machine = self._machine
-        now = machine.sim.now
+        return self._kelp_at(reader, socket, hi_subdomain, self._machine.sim.now)
+
+    def _kelp_at(
+        self, reader: str, socket: int, hi_subdomain: int, now: float
+    ) -> tuple[float, float, float, float, float]:
+        """:meth:`read_kelp` with the clock at ``now``."""
         previous = self._marks.get(reader)
         self._marks[reader] = self._mark_at(now)
-        current = machine.telemetry.snapshot
+        current = self._machine.telemetry.snapshot
         key = (now, socket, hi_subdomain, len(current.mc_bytes))
         last = self._last_kelp
         if last is not None and last[0] is previous and last[1] == key:
@@ -147,29 +153,119 @@ class PerfCounters:
         """:meth:`read_kelp` at each of ``instants`` in turn, after the fact.
 
         For a reader that skipped reads at past instants the integrals have
-        not been advanced beyond (ascending, none after the clock): the
-        integrals advance through every instant exactly as those reads
+        not been advanced beyond (strictly ascending, none after the clock):
+        the integrals advance through every instant exactly as those reads
         would have advanced them, and each result is the one that read
-        would have returned.
+        would have returned, bit for bit.
+
+        One pass over all the instants: the integrals come from
+        :meth:`~repro.hw.telemetry.TelemetryAccumulator.advance_through`,
+        and each field is an elementwise array operation in the scalar
+        read's order (delta, then divide; the socket sum from zero in
+        subdomain order; ``max`` keeping the first maximal value). Results
+        are plain Python floats. Only the snapshots a later read or a
+        checkpoint can see are built: the reader's new mark (shared as the
+        instant's mark) and the previous mark the read memo holds.
         """
-        telemetry = self._machine.telemetry
-        if instants[0] < telemetry.snapshot.time:
+        machine = self._machine
+        now = machine.sim.now
+        if len(instants) == 1 and instants[0] == now:
+            # A replay of one read at the clock is that read. The bulk pass
+            # below pays a fixed NumPy call overhead several times one
+            # read's cost; a run that samples elided members every tick
+            # (telemetry, hooks) replays exactly this, once per member-tick.
+            return [self._kelp_at(reader, socket, hi_subdomain, now)]
+        if not instants[-1] <= now:
             raise SimulationError(
-                f"cannot replay a read at {instants[0]}: the integrals are "
-                f"already advanced to {telemetry.snapshot.time}"
+                f"cannot replay a read at {instants[-1]}: the clock is at {now}"
             )
-        current = telemetry.snapshot
+        telemetry = machine.telemetry
+        mark, mark_time = self._mark, self._mark_time
+        series = telemetry.advance_through(instants)
+        count = len(instants)
         previous = self._marks.get(reader)
-        values: list[tuple[float, float, float, float, float]] = []
-        for now in instants:
-            mark = self._mark_at(now)
-            value = self._compute_kelp(current, previous, socket, hi_subdomain)
-            values.append(value)
-            last = previous
-            previous = mark
-        self._marks[reader] = previous
+        if previous is None:
+            prev_time = 0.0
+            prev_bytes = prev_lat = prev_sat = _EMPTY
+        else:
+            prev_time = previous.time
+            prev_bytes = previous.mc_bytes
+            prev_lat = previous.mc_latency
+            prev_sat = previous.mc_saturation
+
+        # The rows the reads use: time, then each integrated controller's
+        # three integrals. Column 0 becomes the reader's previous mark, so
+        # each column difference is the scalar read's ``current - previous``.
+        bytes_rows = series.rows["mc_bytes"]
+        lat_rows = series.rows["mc_latency"]
+        sat_rows = series.rows["mc_saturation"]
+        subdomains = self._socket_subdomains[socket][1]
+        picked = [0]
+        firsts = [prev_time]
+        for m in (*subdomains, hi_subdomain):
+            if m in bytes_rows:
+                picked += (bytes_rows[m], lat_rows[m], sat_rows[m])
+                firsts += (
+                    prev_bytes.get(m, 0.0),
+                    prev_lat.get(m, 0.0),
+                    prev_sat.get(m, 0.0),
+                )
+        window = series.values[picked]
+        window[:, 0] = firsts
+        deltas = window[:, 1:] - window[:, :-1]
+        elapsed = np.maximum(deltas[0], 0.0)
+        # Only the first window can be degenerate (the instants after it are
+        # strictly ascending); divide it by 1.0 and overwrite it below.
+        degenerate = elapsed[0] <= 0
+        divisor = elapsed
+        if degenerate:
+            divisor = elapsed.copy()
+            divisor[0] = 1.0
+        averages = iter(deltas[1:] / divisor)
+        socket_bw = 0.0
+        socket_latency = saturation = None
+        for m in subdomains:
+            if m in bytes_rows:
+                bw, lat, sat = next(averages), next(averages), next(averages)
+            else:
+                bw, lat, sat = np.full((3, count), _MISSING)
+            socket_bw = socket_bw + bw
+            socket_latency = lat if socket_latency is None else np.where(
+                lat > socket_latency, lat, socket_latency
+            )
+            saturation = sat if saturation is None else np.where(
+                sat > saturation, sat, saturation
+            )
+        if hi_subdomain in bytes_rows:
+            hipri_bw = next(averages)
+        else:
+            hipri_bw = np.zeros(count)
+        values = list(
+            zip(
+                socket_bw.tolist(),
+                socket_latency.tolist(),
+                saturation.tolist(),
+                hipri_bw.tolist(),
+                elapsed.tolist(),
+            )
+        )
+        if degenerate:
+            # The documented defaults, as in window_since.
+            values[0] = (0.0, 1.0, 0.0, 0.0, values[0][4])
+
+        last = instants[-1]
+        if mark_time != last:
+            self._mark = telemetry.copy_snapshot()
+            self._mark_time = last
+        if count == 1:
+            before = previous
+        elif count == 2 and mark_time == instants[0]:
+            before = mark
+        else:
+            before = series.snapshot(count - 1)
+        self._marks[reader] = self._mark
         self._last_kelp = (
-            last, (now, socket, hi_subdomain, len(current.mc_bytes)), value
+            before, (last, socket, hi_subdomain, len(bytes_rows)), values[-1]
         )
         return values
 
@@ -297,5 +393,8 @@ class PerfCounters:
 
 #: Shared empty previous-integral mapping for first reads (never mutated).
 _EMPTY: dict[int, float] = {}
+#: A controller missing from the integrals reads 0.0 bandwidth, latency
+#: factor 1.0 and 0.0 saturation.
+_MISSING = ((0.0,), (1.0,), (0.0,))
 #: Float spacing at 1.0.
 _EPSILON = sys.float_info.epsilon

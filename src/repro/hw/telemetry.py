@@ -8,8 +8,12 @@ runtime samples real counters: read, wait, read again, divide by elapsed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.errors import SimulationError
 from repro.hw.contention import SolveResult
 
 
@@ -51,6 +55,39 @@ class TelemetryWindow:
     def max_saturation(self, subdomains: tuple[int, ...] | list[int]) -> float:
         """Worst average saturation over a set of controllers."""
         return max((self.mc_saturation.get(m, 0.0) for m in subdomains), default=0.0)
+
+
+#: The integral signals of a snapshot, in :class:`TelemetrySeries` row order.
+SIGNALS = ("mc_bytes", "mc_latency", "mc_saturation", "socket_throttle")
+
+
+@dataclass(frozen=True)
+class TelemetrySeries:
+    """The integrals at a run of instants, from
+    :meth:`TelemetryAccumulator.advance_through`.
+
+    ``values[0]`` holds the times: the integrals' time before the run, then
+    each instant. Every other row is one integral at those times;
+    ``rows[signal][key]`` is its row, ``signal`` one of :data:`SIGNALS`,
+    with the keys in the snapshot's order.
+    """
+
+    values: np.ndarray
+    rows: dict[str, dict[int, int]]
+
+    def snapshot(self, column: int) -> TelemetrySnapshot:
+        """The integrals at one column, as
+        :meth:`TelemetryAccumulator.copy_snapshot` would have copied them
+        there (plain Python floats)."""
+        at = self.values[:, column].tolist()
+        rows = self.rows
+        return TelemetrySnapshot(
+            at[0],
+            *(
+                {key: at[row] for key, row in rows[name].items()}
+                for name in SIGNALS
+            ),
+        )
 
 
 class TelemetryAccumulator:
@@ -134,6 +171,72 @@ class TelemetryAccumulator:
                 socket_throttle[socket_id] += throttle * dt
         self._last_time = now
         self._snapshot.time = now
+
+    def advance_through(self, times: Sequence[float]) -> TelemetrySeries:
+        """Integrate the current state through each of ``times`` in turn.
+
+        Leaves the integrals and the snapshot's time exactly where
+        :meth:`advance` at each instant would, and returns the integrals at
+        every instant. The first instant may equal the integrals' time (a
+        zero-width step); each later one must lie strictly after the one
+        before. ``I_j = I_{j-1} + r * (t_j - t_{j-1})`` is one
+        ``np.add.accumulate`` along each row: accumulate adds strictly left
+        to right, so every value is the scalar ``+=`` chain's, bit for bit.
+        """
+        start = self._last_time
+        if not times[0] >= start:
+            raise SimulationError(
+                f"cannot integrate through {times[0]}: the integrals are "
+                f"already advanced to {start}"
+            )
+        snap = self._snapshot
+        signals = (
+            snap.mc_bytes,
+            snap.mc_latency,
+            snap.mc_saturation,
+            snap.socket_throttle,
+        )
+        rates: tuple[dict[int, float], ...] = (
+            {}, {}, {}, dict(self._socket_rows)
+        )
+        for mc_id, delivered, latency, saturation in self._mc_rows:
+            rates[0][mc_id] = delivered
+            rates[1][mc_id] = latency
+            rates[2][mc_id] = saturation
+        # Row 0 is time; then one row per integral key, in snapshot order.
+        # A key the state in force does not drive gets rate 0.0 and stays
+        # put (``I + 0.0`` is ``I``: an integral is never -0.0).
+        firsts: list[float] = []
+        slopes: list[float] = []
+        rows: dict[str, dict[int, int]] = {}
+        for name, values, rate in zip(SIGNALS, signals, rates):
+            first = len(firsts) + 1
+            rows[name] = dict(zip(values, range(first, first + len(values))))
+            firsts.extend(values.values())
+            slopes.extend([rate.get(key, 0.0) for key in values])
+        table = np.empty((len(firsts) + 1, len(times) + 1))
+        table[0, 0] = start
+        table[0, 1:] = times
+        steps = table[0, 1:] - table[0, :-1]
+        if len(times) > 1 and not steps[1:].min() > 0:
+            bad = int(np.argmin(steps[1:] > 0)) + 1
+            raise SimulationError(
+                f"cannot integrate through {times[bad]}: instants must be "
+                "strictly ascending"
+            )
+        integrals = table[1:]
+        integrals[:, 0] = firsts
+        np.multiply(np.array(slopes)[:, None], steps, out=integrals[:, 1:])
+        if not steps[0] > 0:
+            # Time did not move: advance skips the step.
+            integrals[:, 1] = 0.0
+        np.add.accumulate(integrals, axis=1, out=integrals)
+        ends = iter(integrals[:, -1].tolist())
+        for values in signals:
+            for key in values:
+                values[key] = next(ends)
+        self._last_time = snap.time = float(times[-1])
+        return TelemetrySeries(table, rows)
 
     def window_since(self, previous: TelemetrySnapshot, now: float) -> TelemetryWindow:
         """Averages between a previously-copied snapshot and ``now``.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from repro.errors import SimulationError
 from repro.hostif.perf import PerfCounters
 from repro.hw.placement import Placement
 from repro.hw.spec import tpu_host_spec
+from repro.hw.telemetry import TelemetryAccumulator
 from repro.node import Node
 from repro.sim import Simulator
 from repro.workloads.cpu.base import BatchTask
@@ -207,6 +209,32 @@ class TestSharedReads:
         assert node.perf.read_kelp("fleet", *args)[4] == pytest.approx(1.5)
 
 
+def _chain(start: float, interval: float, count: int) -> list[float]:
+    """``count`` tick instants along the scheduler's float chain
+    ``t + interval``."""
+    instants = [start + interval]
+    while len(instants) < count:
+        instants.append(instants[-1] + interval)
+    return instants
+
+
+def _perf_state(node: Node) -> bytes:
+    """Everything a later read or a checkpoint sees of the perf counters
+    and the integrals: marks (and which readers share one), the shared
+    mark, the read memo and the snapshot, pickled (so float types, key
+    order and bit patterns all count)."""
+    perf = node.perf
+    return pickle.dumps(
+        (
+            perf._marks,
+            perf._mark,
+            perf._mark_time,
+            perf._last_kelp,
+            node.machine.telemetry.snapshot,
+        )
+    )
+
+
 class TestReplayedReads:
     """``replay_kelp`` after the fact equals ``read_kelp`` at each instant
     on the clock, bit for bit, and leaves the same integrals and marks."""
@@ -216,6 +244,27 @@ class TestReplayedReads:
         node = Node.create(tpu_host_spec(), Simulator())
         start_stream(node)  # one constant solve state, no events
         return node
+
+    @staticmethod
+    def _drive_one(node: Node, at: float, missing: bool) -> None:
+        """From ``at``, a solve state driving only the accel socket's last
+        controller: the others keep integrals no state drives or, with
+        ``missing``, were never integrated at all (fresh integrals)."""
+        node.sim.run_until(at)
+        state = node.machine.state
+        kept = node.machine.topology.subdomains_of_socket(node.accel_socket)[-1]
+        if missing:
+            node.machine.telemetry = TelemetryAccumulator()
+        node.machine.telemetry.set_state(
+            replace(
+                state,
+                mc_loads={kept: state.mc_loads[kept]},
+                socket_pressures={
+                    node.accel_socket: state.socket_pressures[node.accel_socket]
+                },
+            ),
+            at,
+        )
 
     @given(
         st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8),
@@ -246,6 +295,84 @@ class TestReplayedReads:
             live.perf.read_kelp("kelp", *args)
         )
 
+    @given(
+        offset=st.floats(0.0, 30.0),
+        interval=st.sampled_from([10.0, 0.1, 1.0 / 3.0, 7.3]),
+        count=st.one_of(st.integers(1, 6), st.integers(1000, 1100)),
+        marked=st.booleans(),
+        touch=st.sampled_from([None, "advance", "read"]),
+        drive_one=st.sampled_from([None, "idle", "missing"]),
+        shared=st.booleans(),
+        clock_after=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(
+        offset=5.0, interval=10.0, count=1000, marked=True, touch=None,
+        drive_one=None, shared=False, clock_after=True,
+    )
+    @example(
+        offset=5.0, interval=0.1, count=2, marked=True, touch="read",
+        drive_one="idle", shared=True, clock_after=True,
+    )
+    @example(
+        offset=4.0, interval=0.1, count=3, marked=True, touch=None,
+        drive_one="missing", shared=False, clock_after=True,
+    )
+    @example(  # a degenerate first window
+        offset=0.0, interval=1.0, count=3, marked=True, touch="read",
+        drive_one=None, shared=False, clock_after=False,
+    )
+    def test_bulk_catch_up_matches_reads_on_the_clock(
+        self, offset, interval, count, marked, touch, drive_one, shared,
+        clock_after,
+    ) -> None:
+        """A catch-up the way a waking fleet member replays it: a chain of
+        tick instants, from a reader with or without a previous mark,
+        optionally starting at the integrals' own time (a zero-width first
+        step, with or without another reader's mark there), over
+        controllers a previous state seeded but the current one leaves
+        idle (or never integrated), with a second reader sharing the
+        mark."""
+        live, late = self._node(), self._node()
+        args = (live.accel_socket, live.hi_subdomain)
+        instants = _chain(offset, interval, count)
+        if touch is not None:
+            instants = [offset, *instants[:-1]]
+        for node in (live, late):
+            if drive_one is not None:
+                self._drive_one(node, offset / 2, drive_one == "missing")
+            node.sim.run_until(offset / 2)
+            if marked:
+                node.perf.read_kelp("kelp", *args)
+                if shared:
+                    node.perf.share_mark("fleet", "kelp")
+            node.sim.run_until(offset)
+            if touch == "advance":
+                node.machine.telemetry.advance(offset)
+            elif touch == "read":
+                node.perf.read_kelp("fleet", *args)
+        want = []
+        for instant in instants:
+            live.sim.run_until(instant)
+            want.append(live.perf.read_kelp("kelp", *args))
+        # The catch-up runs at the last instant or later (a wake between
+        # ticks).
+        late.sim.run_until(instants[-1] + (interval / 2 if clock_after else 0.0))
+        got = late.perf.replay_kelp("kelp", *args, instants)
+        assert all(type(x) is float for v in got for x in v)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert _perf_state(late) == _perf_state(live)
+        # The next reads on the clock, by the replayed reader and by a
+        # second reader handed its mark, see the same windows in both.
+        for node in (live, late):
+            node.sim.run_until(instants[-1] + interval)
+            node.perf.share_mark("fleet", "kelp")
+        for reader in ("kelp", "fleet"):
+            assert _bits(late.perf.read_kelp(reader, *args)) == _bits(
+                live.perf.read_kelp(reader, *args)
+            )
+        assert _perf_state(late) == _perf_state(live)
+
     def test_refuses_instants_the_integrals_passed(self, node: Node) -> None:
         start_stream(node)
         args = (node.accel_socket, node.hi_subdomain)
@@ -253,3 +380,19 @@ class TestReplayedReads:
         node.perf.read_kelp("fleet", *args)
         with pytest.raises(SimulationError, match="already advanced"):
             node.perf.replay_kelp("kelp", *args, [1.0, 2.0])
+
+    def test_refuses_instants_out_of_order_or_after_the_clock(
+        self, node: Node
+    ) -> None:
+        start_stream(node)
+        args = (node.accel_socket, node.hi_subdomain)
+        node.sim.run_until(5.0)
+        before = _perf_state(node)
+        with pytest.raises(SimulationError, match="at 6.0: the clock is at 5.0"):
+            node.perf.replay_kelp("kelp", *args, [1.0, 6.0])
+        with pytest.raises(SimulationError, match="through 2.0: instants must"):
+            node.perf.replay_kelp("kelp", *args, [1.0, 2.0, 2.0, 3.0])
+        with pytest.raises(SimulationError, match="through 1.5: instants must"):
+            node.perf.replay_kelp("kelp", *args, [1.0, 2.0, 1.5])
+        # A refused replay reads and integrates nothing.
+        assert _perf_state(node) == before

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import struct
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
 from repro.hw.contention import TrafficSource
 from repro.hw.machine import Machine
+from repro.hw.spec import tpu_host_spec
 from repro.hw.telemetry import TelemetryAccumulator
+from repro.sim import Simulator
 
 
 def make_state(machine: Machine, demand: float):
@@ -88,3 +96,92 @@ class TestTelemetryAccumulator:
         acc.advance(5.0)
         acc.advance(3.0)  # clamped, no exception
         assert acc.snapshot.time == 5.0
+
+
+def _bits(snapshot) -> tuple:
+    """Exact encodings of every integral, in key order, plus the time."""
+    return (
+        struct.pack("<d", snapshot.time),
+        *(
+            tuple((key, struct.pack("<d", value)) for key, value in values.items())
+            for values in (
+                snapshot.mc_bytes,
+                snapshot.mc_latency,
+                snapshot.mc_saturation,
+                snapshot.socket_throttle,
+            )
+        ),
+    )
+
+
+def _chain(start: float, interval: float, count: int) -> list[float]:
+    """``count`` instants along the float chain ``t + interval``."""
+    instants = [start + interval]
+    while len(instants) < count:
+        instants.append(instants[-1] + interval)
+    return instants
+
+
+class TestAdvanceThrough:
+    """``advance_through`` equals ``advance`` at each instant, bit for bit."""
+
+    @staticmethod
+    def _pair(demand: float, idle: bool, at: float):
+        """Two accumulators in the same state: a solve state in force from
+        t=0, then (``idle``) one driving controller 0 only from ``at``, so
+        the others keep integrals no state drives."""
+        state = make_state(Machine(tpu_host_spec(), Simulator()), demand)
+        accs = (TelemetryAccumulator(), TelemetryAccumulator())
+        for acc in accs:
+            acc.set_state(state, 0.0)
+            if idle:
+                acc.set_state(
+                    replace(
+                        state,
+                        mc_loads={0: state.mc_loads[0]},
+                        socket_pressures={0: state.socket_pressures[0]},
+                    ),
+                    at,
+                )
+            else:
+                acc.advance(at)
+        return accs
+
+    @given(
+        demand=st.floats(1.0, 60.0),
+        interval=st.floats(0.01, 20.0),
+        at=st.floats(0.0, 50.0),
+        count=st.one_of(st.integers(1, 8), st.integers(1000, 1200)),
+        zero_width=st.booleans(),
+        idle=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_stepwise_advance(
+        self, demand, interval, at, count, zero_width, idle
+    ) -> None:
+        stepwise, bulk = self._pair(demand, idle, at)
+        times = _chain(at, interval, count)
+        if zero_width:
+            times = [at, *times[:-1]]
+        want = []
+        for t in times:
+            stepwise.advance(t)
+            want.append(_bits(stepwise.copy_snapshot()))
+        series = bulk.advance_through(times)
+        assert _bits(bulk.snapshot) == _bits(stepwise.snapshot)
+        assert type(bulk.snapshot.time) is float
+        assert [_bits(series.snapshot(j + 1)) for j in range(count)] == want
+
+    def test_refuses_instants_out_of_order(self, machine: Machine) -> None:
+        acc = TelemetryAccumulator()
+        acc.set_state(make_state(machine, 10.0), 0.0)
+        acc.advance(2.0)
+        before = _bits(acc.snapshot)
+        with pytest.raises(SimulationError, match="already advanced to 2.0"):
+            acc.advance_through([1.0, 3.0])
+        with pytest.raises(SimulationError, match="through 3.0: instants must"):
+            acc.advance_through([2.5, 3.0, 3.0])
+        with pytest.raises(SimulationError, match="through 2.75: instants must"):
+            acc.advance_through([3.0, 4.0, 2.75])
+        # A refused run integrates nothing.
+        assert _bits(acc.snapshot) == before
